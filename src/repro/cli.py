@@ -57,6 +57,7 @@ from repro.eval.reporting import (
 )
 from repro.reliability import Deadline, FakeClock, RetryPolicy
 from repro.serving import (
+    Arrival,
     Completed,
     InlineWorkerHandle,
     ProcessWorkerHandle,
@@ -68,9 +69,9 @@ from repro.serving import (
     ShardMap,
     ShardRouter,
     Shed,
-    WorkerPool,
     default_worker_ids,
     poisson_workload,
+    replay,
     run_loadgen,
 )
 
@@ -375,7 +376,13 @@ def _outcome_line(outcome) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
+def _build_router(
+    args: argparse.Namespace,
+    parser,
+    databases,
+    clock=None,
+    service_model=None,
+) -> ShardRouter:
     """A shard router over ``--workers`` inline or process workers.
 
     Rate limiting stays central (the router's buckets); worker servers
@@ -385,7 +392,13 @@ def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
 
     def handle_factory(worker_id: str):
         def build() -> Server:
-            return Server(parser, databases, config=worker_config)
+            return Server(
+                parser,
+                databases,
+                config=worker_config,
+                clock=clock,
+                service_model=service_model,
+            )
 
         if args.transport == "process":
             return ProcessWorkerHandle(worker_id, build)
@@ -405,6 +418,7 @@ def _build_router(args: argparse.Namespace, parser, databases) -> ShardRouter:
             seed=args.shard_seed,
             rate_per_tenant=args.rate_per_tenant,
         ),
+        clock=clock,
     )
 
 
@@ -412,12 +426,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """One-shot serving: JSONL requests in, JSONL outcomes out.
 
     Each input line is ``{"question": ..., "db_id": ..., "id"?,
-    "tenant"?, "deadline_s"?}``.  Every request is submitted, the queue
-    is drained through the micro-batch scheduler, and one JSON line per
-    outcome is printed in input order.  ``--workers N`` shards the
-    databases over N workers behind a router; ``--threads N`` drains
-    one server from a thread pool instead.  Worker/pool failures are
-    appended as their own JSONL records after the outcomes.
+    "tenant"?, "deadline_s"?}``.  Every request arrives at once and is
+    replayed through a shard router over ``--workers`` workers (one
+    inline worker by default); one JSON line per outcome is printed in
+    input order.  Worker failures are appended as their own JSONL
+    records after the outcomes.
     """
     dataset = _build_dataset(args.dataset)
     parser = CodeSParser(args.model)
@@ -443,55 +456,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if args.input:
             handle.close()
-    outcomes = []
-    failures: list[dict] = []
-    metrics = None
-    if args.workers > 1:
-        router = _build_router(args, parser, dataset.databases)
-        try:
-            for request in requests:
-                immediate = router.submit(request)
-                if immediate is not None:
-                    outcomes.append(immediate)
-            # Classify any already-crashed worker before draining:
-            # drain() skips down workers (a dead worker never acks),
-            # and the recovery loop below restarts them and finishes
-            # their re-dispatched work.
-            router.tick()
-            outcomes.extend(router.drain())
-            while router.has_work():
-                router.tick()
-                router.pump()
-                outcomes.extend(router.poll())
-                if router.has_work():
-                    router.clock.sleep(0.002)
-            failures = list(router.failures)
-            if args.metrics:
-                metrics = router.metrics()
-        finally:
-            router.shutdown()
-    else:
-        server = Server(parser, dataset.databases, config=_server_config(args))
-        for request in requests:
-            immediate = server.submit(request)
-            if immediate is not None:
-                outcomes.append(immediate)
-        if args.threads > 0:
-            pool = WorkerPool(
-                server, workers=args.threads, idle_wait_s=args.idle_wait_s
-            )
-            pool.start()
-            pool.wait_for(len(requests) - len(outcomes))
-            pool.stop()
-            outcomes.extend(pool.results())
-            failures = list(pool.failures)
-        outcomes.extend(server.drain())
-        if args.metrics:
-            metrics = server.metrics()
+    router = _build_router(args, parser, dataset.databases)
+    try:
+        outcomes = replay(
+            router, [Arrival(at=0.0, request=request) for request in requests]
+        )
+        metrics = router.metrics() if args.metrics else None
+    finally:
+        router.shutdown()
     by_id = {outcome.request.request_id: outcome for outcome in outcomes}
     for request in requests:
         print(_outcome_line(by_id[request.request_id]))
-    for failure in failures:
+    for failure in router.failures:
         print(json.dumps({"status": "worker_failure", **failure}, sort_keys=True))
     if metrics is not None:
         print(format_serving_report(metrics), file=sys.stderr)
@@ -567,12 +543,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     parser = CodeSParser(args.model, clock=clock)
     if dataset.train:
         parser.fit(pair_samples(dataset))
-    server = Server(
-        parser,
-        dataset.databases,
-        config=_server_config(args),
-        clock=clock,
-        service_model=ServiceModel(),
+    router = _build_router(
+        args, parser, dataset.databases, clock=clock, service_model=ServiceModel()
     )
     arrivals = poisson_workload(
         dataset.dev,
@@ -582,7 +554,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         deadline_s=args.deadline_s,
     )
     result = run_loadgen(
-        server, arrivals, title=f"loadgen {args.dataset} seed={args.seed}"
+        router, arrivals, title=f"loadgen {args.dataset} seed={args.seed}"
     )
     print(result.report)
     return 0
@@ -871,7 +843,7 @@ def _add_sharding_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--workers", type=int, default=1,
         help="shard the databases over N workers behind a router "
-             "(1 = single-process serving, the default)",
+             "(1 = one inline worker, the default)",
     )
     subparser.add_argument(
         "--transport", default="inline", choices=("inline", "process"),
@@ -1018,16 +990,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--metrics", action="store_true",
         help="print the server metrics snapshot to stderr after serving",
     )
-    serve_parser.add_argument(
-        "--threads", type=int, default=0,
-        help="drain through a thread worker pool of this size "
-             "(0 = drain synchronously); pool failures are appended "
-             "to the JSONL output",
-    )
-    serve_parser.add_argument(
-        "--idle-wait-s", type=float, default=0.05,
-        help="idle park interval for --threads workers (seconds)",
-    )
     _add_serving_flags(serve_parser)
     _add_sharding_flags(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
@@ -1059,7 +1021,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                                 help="Poisson arrival rate (requests/s)")
     loadgen_parser.add_argument("--seed", type=int, default=0)
     _add_serving_flags(loadgen_parser)
-    loadgen_parser.set_defaults(func=_cmd_loadgen)
+    # One inline worker: the loadgen replays on a FakeClock.
+    loadgen_parser.set_defaults(
+        func=_cmd_loadgen,
+        workers=1,
+        transport="inline",
+        virtual_nodes=64,
+        shard_seed=0,
+    )
 
     providers_parser = sub.add_parser(
         "providers",

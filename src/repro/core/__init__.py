@@ -7,7 +7,8 @@ the execution-guided beam — the full pipeline of the paper.
 """
 
 from repro.core.retriever import DemonstrationRetriever
-from repro.core.parser import CodeSParser, GenerationResult, lint_gated_order
+from repro.core.parser import CodeSParser, GenerationResult
+from repro.core.ranking import lint_gated_order
 
 __all__ = [
     "CodeSParser",

@@ -50,6 +50,7 @@ The stage bodies are line-for-line ports of the pre-refactor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -390,13 +391,15 @@ class RankStage(_ParserStage):
         for sql, filled, retrieval_sim, ungrounded in ctx.raw_candidates:
             used = filled.columns_used()
             link_quality = (
-                sum(scores.columns.get(col, 0.0) for col in used) / len(used)
+                math.fsum(scores.columns.get(col, 0.0) for col in used)
+                / len(used)
                 if used
                 else 0.0
             )
             tables = filled.tables_used()
             table_quality = (
-                sum(scores.tables.get(name, 0.0) for name in tables) / len(tables)
+                math.fsum(scores.tables.get(name, 0.0) for name in tables)
+                / len(tables)
                 if tables
                 else 0.0
             )

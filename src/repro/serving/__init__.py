@@ -1,11 +1,13 @@
-"""Concurrent serving layer over the staged inference engine (PR 5).
+"""Serving layer over the staged inference engine.
 
 Admission control (bounded queue, per-tenant token buckets), a
 per-database micro-batching scheduler with a watermark degradation
-ladder, typed shed/completion outcomes, deterministic load generation,
-and a thread worker pool.  Everything timing-related reads an
-injectable Clock, so the whole layer runs — and is tested — on a
-FakeClock with zero wall-clock sleeps.
+ladder, typed shed/completion outcomes, and deterministic load
+generation.  The one front door is a :class:`ShardRouter` over inline
+or forked shard workers, and :func:`replay` is the one loop that drives
+it.  Everything timing-related reads an injectable Clock, so the whole
+layer runs — and is tested — on a FakeClock with zero wall-clock
+sleeps.
 """
 
 from repro.serving.loadgen import (
@@ -52,10 +54,7 @@ from repro.serving.sharding import (
     ShardRouter,
     ShardWorker,
     default_worker_ids,
-    replay_sharded,
-    run_loadgen_sharded,
 )
-from repro.serving.worker import WorkerPool
 
 __all__ = [
     "AdmissionQueue",
@@ -89,12 +88,9 @@ __all__ = [
     "Shed",
     "TIERS",
     "TokenBucket",
-    "WorkerPool",
     "default_worker_ids",
     "nearest_rank",
     "poisson_workload",
     "replay",
-    "replay_sharded",
     "run_loadgen",
-    "run_loadgen_sharded",
 ]

@@ -2,14 +2,22 @@
 
 The workload model is open-loop Poisson: inter-arrival gaps drawn from
 ``random.Random(seed).expovariate(rate)``, requests cycling through a
-dataset's dev examples.  :func:`replay` is a discrete-event loop over
-the server's (Fake)Clock — admit every arrival that is due, execute a
-batch if anything is queued, otherwise advance the clock to the next
-arrival.  Service time comes from the :class:`ServiceModel` (flat,
-per-tier simulated costs charged via ``clock.sleep``), so queue
-buildup — and therefore watermark crossings, deadline expiry, and
-shedding — is a pure function of ``(workload, config, model)``.  Same
-seed, same report, byte for byte.
+dataset's dev examples.  :func:`replay` is the one discrete-event loop
+that drives the serving front door, a :class:`ShardRouter`: admit every
+arrival that is due, run supervision, let each inline worker execute
+one micro-batch, collect outcomes, and advance the clock only once no
+live inline worker still holds queued work.  Service time comes from
+the :class:`ServiceModel` (flat, per-tier simulated costs charged via
+``clock.sleep``), so on a FakeClock with inline workers queue buildup —
+and therefore watermark crossings, deadline expiry, and shedding — is
+a pure function of ``(workload, config, model)``.  Same seed, same
+report, byte for byte, with zero wall-clock sleeps.
+
+With process workers the same loop runs against the system clock:
+in-flight work completes on real worker cores, so the loop polls on a
+short real interval instead of jumping.  The branch is keyed off the
+handles' ``transport`` tag, not the clock, so a FakeClock is never
+busy-waited and a real cluster is never starved.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.eval.reporting import format_serving_report, format_table
 from repro.serving.outcomes import ServeRequest
-from repro.serving.server import Server
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datasets.base import Text2SQLExample
     from repro.serving.metrics import ServerMetrics
+    from repro.serving.sharding.router import ShardRouter
+
+#: Real-time poll cadence while process workers hold in-flight work.
+PROCESS_POLL_S = 0.002
 
 
 @dataclass(frozen=True)
@@ -97,28 +108,64 @@ def poisson_workload(
     return arrivals
 
 
-def replay(server: Server, arrivals: Sequence[Arrival]) -> list:
-    """Feed ``arrivals`` through ``server`` as a discrete-event loop.
+def _inline(handle) -> bool:
+    return getattr(handle, "transport", "") == "inline"
 
-    Advances the server's clock between arrivals (``clock.sleep``, so a
-    FakeClock replay runs instantly) and drains the queue to empty.
-    Returns every terminal outcome in resolution order: immediate sheds
-    interleaved with batch results.
+
+def _inline_busy(router: "ShardRouter") -> bool:
+    """Does a live inline worker still hold queued work?"""
+    return any(
+        _inline(handle) and handle.alive() and handle.worker.queue_depth > 0
+        for handle in router.handles.values()
+    )
+
+
+def replay(router: "ShardRouter", arrivals: Sequence[Arrival]) -> list:
+    """Feed ``arrivals`` through ``router``; returns terminal outcomes.
+
+    Outcomes come back in resolution order: front-door sheds
+    interleaved with batch results.  Every request resolves — parked
+    work survives crashes via the router's restart redispatch — and the
+    loop only exits when neither arrivals nor unresolved work remain.
+
+    Admission interleaves with execution exactly as in a single server:
+    each pass runs at most one micro-batch per inline worker, and the
+    batch's service time (charged on the clock) lets later arrivals in
+    before the next batch is picked.  Between passes with no inline
+    work left, the clock jumps straight to the next interesting
+    instant — the next arrival or the router's next supervision
+    deadline (heartbeat timeout, restart backoff).
     """
     pending = deque(sorted(arrivals, key=lambda arrival: arrival.at))
     outcomes: list = []
-    while pending or server.queue.depth > 0:
-        now = server.clock.now()
+    inline = all(_inline(handle) for handle in router.handles.values())
+    while pending or router.has_work():
+        now = router.clock.now()
         while pending and pending[0].at <= now:
-            outcome = server.submit(pending.popleft().request)
+            outcome = router.submit(pending.popleft().request)
             if outcome is not None:
                 outcomes.append(outcome)
-        if server.queue.depth > 0:
-            outcomes.extend(server.step())
-        elif pending:
-            gap = pending[0].at - server.clock.now()
+        router.tick()
+        router.pump()
+        outcomes.extend(router.poll())
+        if _inline_busy(router):
+            continue  # the batch charged the clock; admit what arrived
+        now = router.clock.now()
+        targets = [pending[0].at] if pending else []
+        if router.has_work():
+            timer = router.next_timer_due()
+            if timer is not None:
+                targets.append(timer)
+        if not inline and router.has_work():
+            # Real workers finish on their own cores at their own pace.
+            gap = min(targets) - now if targets else PROCESS_POLL_S
+            router.clock.sleep(min(max(gap, 0.0), PROCESS_POLL_S))
+        elif targets:
+            gap = min(targets) - now
             if gap > 0:
-                server.clock.sleep(gap)
+                router.clock.sleep(gap)
+        elif router.has_work():  # pragma: no cover - no workers left at all
+            break
     return outcomes
 
 
@@ -139,18 +186,24 @@ class LoadgenResult:
 
 
 def run_loadgen(
-    server: Server,
+    router: "ShardRouter",
     arrivals: Sequence[Arrival],
     title: str = "loadgen",
 ) -> LoadgenResult:
-    """Replay ``arrivals`` and package the byte-stable report."""
-    started = server.clock.now()
-    outcomes = replay(server, arrivals)
-    makespan = server.clock.now() - started
-    metrics = server.metrics()
+    """Replay ``arrivals`` through the cluster; byte-stable report.
+
+    The report's metrics section is the *merged* cluster snapshot —
+    router-side sheds plus every shard's counters, percentiles
+    recomputed from pooled samples.
+    """
+    started = router.clock.now()
+    outcomes = replay(router, arrivals)
+    makespan = router.clock.now() - started
+    metrics = router.metrics()
     summary_rows = [
         {
             "requests": len(arrivals),
+            "workers": len(router.handles),
             "completed": metrics.completed,
             "shed": metrics.shed_total,
             "failed": metrics.failed,

@@ -154,7 +154,8 @@ class ServerMetrics:
                 shed[reason] = shed.get(reason, 0) + count
             for tier, count in sorted(snapshot.tiers.items()):
                 tiers[tier] = tiers.get(tier, 0) + count
-            for stage, wall in sorted(snapshot.stage_wall_s.items()):
+            # Unsorted on purpose: stages keep the pipeline's order.
+            for stage, wall in snapshot.stage_wall_s.items():
                 stage_wall_s[stage] = stage_wall_s.get(stage, 0.0) + wall
             providers.extend(snapshot.providers)
             database_breakers.extend(snapshot.database_breakers)

@@ -7,10 +7,8 @@ consumes through :meth:`pop_group`, which atomically pops the oldest
 item plus up to ``max_size - 1`` younger items sharing its key — the
 per-database micro-batch.  Popping the oldest first guarantees
 progress (no key can starve) and keeps arrival order within a batch.
-
-All waiting uses ``Condition.wait`` with a timeout; there are no raw
-sleeps, so worker threads shut down promptly and FakeClock tests never
-block on wall time.
+Nothing here blocks or waits; the lock only makes each operation
+atomic.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ class AdmissionQueue:
         self.capacity = capacity
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
 
     @property
     def depth(self) -> int:
@@ -42,7 +39,6 @@ class AdmissionQueue:
             if len(self._items) >= self.capacity:
                 return False
             self._items.append(item)
-            self._not_empty.notify()
             return True
 
     def pop_group(
@@ -72,16 +68,3 @@ class AdmissionQueue:
             kept.extend(self._items)
             self._items = kept
             return group
-
-    def wait_nonempty(self, timeout: float) -> bool:
-        """Block up to ``timeout`` (real) seconds for an item to arrive.
-
-        Returns whether the queue is non-empty.  Used only by worker
-        threads idling between batches; deterministic tests drive the
-        server synchronously and never call this.
-        """
-        with self._lock:
-            if self._items:
-                return True
-            self._not_empty.wait(timeout)
-            return bool(self._items)

@@ -6,8 +6,9 @@ degradation ladder, per-database execution state (one warm ``Engine``
 + bounded ``StageCache`` and one ``CircuitBreaker`` per database), and
 the metrics aggregator.  It is deliberately synchronous at its core:
 :meth:`submit` admits or sheds, :meth:`step` executes one batch, and
-:meth:`drain` loops ``step`` until empty — the worker pool
-(:mod:`repro.serving.worker`) merely calls ``step`` from threads.
+:meth:`drain` loops ``step`` until empty — a shard worker
+(:mod:`repro.serving.sharding.worker`) wraps one server and calls
+these on the router's behalf.
 Every timing decision reads the injectable Clock, so the whole server
 runs deterministically on a FakeClock.
 
@@ -63,7 +64,7 @@ from repro.serving.scheduler import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.db.database import Database
+    from repro.db.backends.sqlite import Database
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,10 @@ class ShardRouter:
         return outcomes
 
     def pump(self) -> None:
-        """Let inline workers drain their queues (process workers self-drain)."""
+        """Let each inline worker run one micro-batch.
+
+        Process workers drain their own queues; their ``pump`` is a no-op.
+        """
         for worker_id in sorted(self.handles):
             self.handles[worker_id].pump()
 

@@ -7,7 +7,7 @@ in-process; real parallelism only exists cross-process).
 
 - :class:`InlineWorkerHandle` hosts the :class:`ShardWorker` on the
   caller's thread.  ``send`` processes the command synchronously and
-  buffers the replies; ``pump`` drains the worker's queue.  On a
+  buffers the replies; ``pump`` executes one queued micro-batch.  On a
   FakeClock the whole cluster is a deterministic discrete-event
   system — the configuration every ``tests/test_sharding.py`` scenario
   runs, with zero wall-clock sleeps.
@@ -87,11 +87,15 @@ class InlineWorkerHandle:
         return events
 
     def pump(self) -> None:
-        """Drain the worker's queue to empty, buffering outcome events."""
-        if self._dead:
+        """Execute at most one micro-batch, buffering its outcome events.
+
+        One batch per pump keeps admission interleaved with execution:
+        the caller admits whatever arrived during the batch's service
+        time before the next batch is picked.
+        """
+        if self._dead or self.worker.stopping:
             return
-        while self.worker.queue_depth > 0 and not self.worker.stopping:
-            self._events.extend(self.worker.step())
+        self._events.extend(self.worker.step())
 
     def alive(self) -> bool:
         return not self._dead and not self.worker.stopping

@@ -1,28 +1,19 @@
 """Architectural rules (repro.staticcheck) — rules + repo-wide gate.
 
-The old ``scripts/arch_lint.py`` kwarg-based exemptions became
-path-based rule scoping: passing ``path="reliability/clock.py"`` to
+Rules are scoped by path: passing ``path="reliability/clock.py"`` to
 :func:`repro.staticcheck.check_source` exercises the ARCH001
 allowlist the same way the tree walk does.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.staticcheck import check_source, check_tree, load_baseline
+from repro.staticcheck import check_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-
-_spec = importlib.util.spec_from_file_location(
-    "arch_lint", REPO_ROOT / "scripts" / "arch_lint.py"
-)
-arch_lint = importlib.util.module_from_spec(_spec)
-sys.modules["arch_lint"] = arch_lint
-_spec.loader.exec_module(arch_lint)
 
 
 def _rules(source: str, path: str = "mod.py") -> list[str]:
@@ -229,7 +220,7 @@ class TestIPCContainmentRule:
         ]
         assert _rules(
             "from concurrent.futures import ProcessPoolExecutor\n",
-            path="serving/worker.py",
+            path="serving/server.py",
         ) == ["ARCH008"]
         assert _rules("import multiprocessing\n", path="reliability/mod.py") == [
             "ARCH008"
@@ -311,17 +302,13 @@ class TestProviderEncapsulationRule:
 class TestRepoGate:
     """The whole tree passes the full registry with the repo baseline."""
 
-    def test_src_repro_has_no_violations(self):
-        baseline = load_baseline(REPO_ROOT / "staticcheck_baseline.json")
-        result = check_tree(REPO_ROOT / "src" / "repro", baseline=baseline)
+    def test_src_repro_has_no_violations(self, repo_tree_check):
+        result = repo_tree_check
         rendered = "\n".join(f.render() for f in result.findings)
         assert not result.findings, f"staticcheck violations:\n{rendered}"
         assert not result.stale_baseline, (
             f"stale baseline entries: {result.stale_baseline}"
         )
-
-    def test_shim_exit_status(self):
-        assert arch_lint.main([str(REPO_ROOT / "src" / "repro")]) == 0
 
     def test_json_output_is_byte_stable_across_hash_seeds(self):
         """``repro check --format json`` must not depend on PYTHONHASHSEED."""

@@ -11,6 +11,8 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -77,6 +79,37 @@ def test_staged_engine_matches_prerefactor_goldens():
                 f"monolith:\n  golden: {old}\n  staged: {new}"
             )
 
+
+
+_HASH_SEED_PROBE = """
+from repro import CodeSParser, build_spider, pair_samples
+from repro.datasets.spider import SpiderConfig
+spider = build_spider(SpiderConfig(n_dev_databases=3, dev_per_database=48, seed=1000))
+parser = CodeSParser("codes-15b")
+parser.fit(pair_samples(spider))
+example = spider.dev[123]
+print(parser.generate(example.question, spider.databases[example.db_id]).sql)
+"""
+
+
+def test_rank_scores_do_not_depend_on_the_hash_seed():
+    """Rank averages link scores over ``columns_used()``/``tables_used()``,
+    which are sets: a plain ``sum`` rounds in set iteration order, so
+    near-tied candidates swapped with PYTHONHASHSEED.  Under hash seed 1
+    this question used to group by ``restaurant.name``."""
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "SELECT dish.name, COUNT(*) FROM dish JOIN restaurant ON "
+        "dish.restaurant_id = restaurant.restaurant_id GROUP BY dish.name"
+    )
 
 # -- engine composition -------------------------------------------------------
 

@@ -3,19 +3,21 @@
 Every scheduler/shedding scenario runs on a :class:`FakeClock` with
 zero wall-clock sleeps: deadline expiry, watermark crossings, and
 queueing dynamics are all driven by explicit ``clock.advance`` /
-simulated service charges.  Only the worker-pool smoke test spawns
-real threads (over a stub parser, so it finishes in milliseconds).
+simulated service charges.  Loadgen replays drive a one-inline-worker
+:class:`ShardRouter`, the serving front door.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
 from repro.core.ranking import SENTINEL_SQL
 from repro.engine import StageCache
-from repro.errors import GenerationError, ServingError
+from repro.errors import GenerationError
 from repro.lm.registry import LMRegistry
 from repro.reliability.clock import FakeClock
 from repro.serving import (
@@ -25,6 +27,7 @@ from repro.serving import (
     DeadlineShed,
     DegradationLadder,
     Failed,
+    InlineWorkerHandle,
     MetricsAggregator,
     Overloaded,
     RateLimited,
@@ -32,8 +35,9 @@ from repro.serving import (
     Server,
     ServerConfig,
     ServiceModel,
+    ShardMap,
+    ShardRouter,
     TokenBucket,
-    WorkerPool,
     nearest_rank,
     poisson_workload,
     run_loadgen,
@@ -91,6 +95,32 @@ def _server(clock, databases=None, parser=None, **config_kwargs):
         config=ServerConfig(**config_kwargs),
         clock=clock,
     )
+
+
+def _router(clock, **config_kwargs):
+    """The serving front door over one inline worker (``repro loadgen``'s)."""
+    databases = {"alpha": NamedDb("alpha"), "beta": NamedDb("beta")}
+
+    def handle_factory(worker_id):
+        return InlineWorkerHandle(
+            worker_id,
+            lambda: Server(
+                StubParser(),
+                databases,
+                config=ServerConfig(**config_kwargs),
+                clock=clock,
+                service_model=ServiceModel(),
+            ),
+        )
+
+    return ShardRouter(ShardMap(("w0",)), handle_factory, databases, clock=clock)
+
+
+def _examples():
+    return [
+        type("Example", (), {"question": f"question {index}", "db_id": db_id})()
+        for index, db_id in enumerate(["alpha", "beta", "alpha"])
+    ]
 
 
 def _request(i, db_id="alpha", **kwargs):
@@ -459,30 +489,15 @@ class TestBoundedCaches:
 
 class TestLoadgen:
     def _run(self, seed=7, n=40, rate=50.0):
-        clock = FakeClock()
-        databases = {"alpha": NamedDb("alpha"), "beta": NamedDb("beta")}
-        server = Server(
-            StubParser(),
-            databases,
-            config=ServerConfig(
-                queue_capacity=16,
-                batch_size=4,
-                skeleton_watermark=4,
-                sentinel_watermark=10,
-            ),
-            clock=clock,
-            service_model=ServiceModel(),
+        router = _router(
+            FakeClock(),
+            queue_capacity=16,
+            batch_size=4,
+            skeleton_watermark=4,
+            sentinel_watermark=10,
         )
-        examples = [
-            type(
-                "Example",
-                (),
-                {"question": f"question {index}", "db_id": db_id},
-            )()
-            for index, db_id in enumerate(["alpha", "beta", "alpha"])
-        ]
-        arrivals = poisson_workload(examples, n=n, rate=rate, seed=seed)
-        return run_loadgen(server, arrivals)
+        arrivals = poisson_workload(_examples(), n=n, rate=rate, seed=seed)
+        return run_loadgen(router, arrivals)
 
     def test_seeded_report_is_reproducible(self):
         first = self._run(seed=7)
@@ -514,41 +529,68 @@ class TestLoadgen:
             poisson_workload([object()], n=4, rate=0.0)
 
 
-# -- worker pool (real threads, stub work) ------------------------------------
+# -- replay golden: one inline worker == the old single-Server loop -----------
+
+#: Outcomes, makespan and metrics report of the single-``Server`` replay
+#: loop, captured before that loop was folded into the router replay.
+REPLAY_GOLDEN = Path(__file__).parent / "golden" / "serving_replay.json"
 
 
-class TestWorkerPool:
-    def test_pool_drains_submitted_requests(self):
-        server = _server(FakeClock(), batch_size=2)
-        pool = WorkerPool(server, workers=2)
-        pool.start()
-        try:
-            for index, db_id in enumerate(
-                ["alpha", "beta", "alpha", "beta", "alpha", "beta"]
-            ):
-                assert server.submit(_request(index, db_id)) is None
-            assert pool.wait_for(6, timeout_s=10.0)
-        finally:
-            pool.stop()
-        outcomes = pool.results()
-        assert len(outcomes) == 6
-        assert all(isinstance(outcome, Completed) for outcome in outcomes)
-        assert pool.failures == []
+def _outcome_record(outcome) -> dict:
+    return {
+        "type": type(outcome).__name__,
+        "id": outcome.request.request_id,
+        "tier": getattr(outcome, "tier", None),
+        "sql": getattr(outcome, "sql", None),
+        "latency_s": getattr(outcome, "latency_s", None),
+    }
 
-    def test_pool_restart_guard(self):
-        pool = WorkerPool(_server(FakeClock()), workers=1)
-        pool.start()
-        try:
-            with pytest.raises(ServingError):
-                pool.start()
-        finally:
-            pool.stop()
 
-    def test_idle_wait_is_per_pool(self):
-        server = _server(FakeClock())
-        pool = WorkerPool(server, workers=1, idle_wait_s=0.001)
-        assert pool.idle_wait_s == 0.001
-        # a fast idle wait keeps wait_for's polling granularity tight
-        assert not pool.wait_for(1, timeout_s=0.01)
-        with pytest.raises(ValueError):
-            WorkerPool(server, workers=1, idle_wait_s=0.0)
+def _assert_matches_golden(result, golden):
+    assert [_outcome_record(o) for o in result.outcomes] == golden["outcomes"]
+    assert result.makespan_s == golden["makespan_s"]
+    assert result.report.split("\n\n", 1)[1] == golden["metrics_report"]
+
+
+class TestReplayGolden:
+    """A one-inline-worker router replays byte for byte like one Server."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(REPLAY_GOLDEN.read_text(encoding="utf-8"))
+
+    def test_overload_with_both_shed_kinds(self, golden):
+        case = golden["stub_overload"]
+        kinds = {record["type"] for record in case["outcomes"]}
+        assert {"Overloaded", "DeadlineShed", "Completed"} <= kinds
+        router = _router(
+            FakeClock(),
+            queue_capacity=12,
+            batch_size=4,
+            skeleton_watermark=6,
+            sentinel_watermark=10,
+            default_deadline_s=0.4,
+        )
+        arrivals = poisson_workload(
+            _examples(), n=48, rate=40.0, seed=1, deadline_s=0.4
+        )
+        _assert_matches_golden(run_loadgen(router, arrivals, title="stub"), case)
+
+    def test_cli_loadgen_seed_zero(self, golden):
+        from repro import CodeSParser, build_bank_financials, pair_samples
+        from repro.cli import _build_router, build_arg_parser
+
+        args = build_arg_parser().parse_args(["loadgen", "--seed", "0"])
+        clock = FakeClock()
+        dataset = build_bank_financials()
+        parser = CodeSParser("codes-1b", clock=clock)
+        parser.fit(pair_samples(dataset))
+        router = _build_router(
+            args, parser, dataset.databases, clock=clock,
+            service_model=ServiceModel(),
+        )
+        arrivals = poisson_workload(dataset.dev, n=64, rate=30.0, seed=0)
+        result = run_loadgen(
+            router, arrivals, title="loadgen bank_financials seed=0"
+        )
+        _assert_matches_golden(result, golden["cli_loadgen_seed0"])

@@ -34,8 +34,8 @@ from repro.serving import (
     ShardingConfig,
     default_worker_ids,
     nearest_rank,
-    replay_sharded,
-    run_loadgen_sharded,
+    replay,
+    run_loadgen,
 )
 from repro.serving.loadgen import Arrival
 from repro.serving.sharding import Heartbeat, HeartbeatAck, picklable_event
@@ -182,8 +182,7 @@ class TestRouting:
         arrivals = _arrivals(16, rate_spacing=0.0)
         for arrival in arrivals:
             assert router.submit(arrival.request) is None
-        router.pump()
-        outcomes = router.poll()
+        outcomes = router.drain()
         assert len(outcomes) == 16
         assert all(isinstance(outcome, Completed) for outcome in outcomes)
         # each worker's server saw exactly its shards' databases
@@ -490,8 +489,7 @@ class TestRebalance:
         router, handles = _cluster(clock)
         for index in range(8):
             router.submit(_request(index, db_id=DB_IDS[index]))
-        router.pump()
-        router.poll()
+        router.drain()
         before = router.metrics()
         assert before.completed == 8
         doomed = router.shard_map.workers[0]
@@ -681,7 +679,7 @@ class TestShardedReplay:
     def test_replay_completes_everything_with_zero_wall_sleeps(self):
         clock = FakeClock()
         router, _ = _cluster(clock)
-        result = run_loadgen_sharded(router, _arrivals(40))
+        result = run_loadgen(router, _arrivals(40))
         assert result.metrics.completed == 40
         assert result.metrics.failed == 0
         assert result.metrics.shed_total == 0
@@ -693,7 +691,7 @@ class TestShardedReplay:
         for _ in range(2):
             clock = FakeClock()
             router, _ = _cluster(clock)
-            reports.append(run_loadgen_sharded(router, _arrivals(40)).report)
+            reports.append(run_loadgen(router, _arrivals(40)).report)
         assert reports[0] == reports[1]
 
     def test_replay_rides_through_a_mid_run_crash(self):
@@ -705,32 +703,24 @@ class TestShardedReplay:
 
         # crash the worker partway: feed half, kill, replay the rest
         first, second = arrivals[:10], arrivals[10:]
-        outcomes = replay_sharded(router, first)
+        outcomes = replay(router, first)
         handles[victim].kill()
-        outcomes += replay_sharded(router, second)
+        outcomes += replay(router, second)
         resolved = {o.request.request_id for o in outcomes}
         assert resolved == {f"r{index}" for index in range(20)}
         assert all(isinstance(o, Completed) for o in outcomes)
         assert any(f["kind"] == "restart" for f in router.failures)
 
     def test_sharded_sql_matches_single_server_byte_for_byte(self):
-        # Zero drift: the sharded cluster must emit exactly the SQL the
-        # single-process server emits for the same workload.
+        # Zero drift: the sharded cluster must emit exactly the SQL a
+        # one-worker router emits for the same workload — the single-
+        # server reference, pinned byte for byte by test_serving's
+        # TestReplayGolden.
         arrivals = _arrivals(24)
-
-        single_clock = FakeClock()
-        server = Server(
-            StubParser(),
-            _databases(),
-            config=ServerConfig(),
-            clock=single_clock,
-            service_model=ServiceModel(),
-        )
-        from repro.serving import replay as replay_single
-
+        single_router, _ = _cluster(FakeClock(), workers=("w0",))
         single = {
             o.request.request_id: o.sql
-            for o in replay_single(server, arrivals)
+            for o in replay(single_router, arrivals)
             if isinstance(o, Completed)
         }
 
@@ -738,7 +728,7 @@ class TestShardedReplay:
         router, _ = _cluster(clock)
         sharded = {
             o.request.request_id: o.sql
-            for o in replay_sharded(router, arrivals)
+            for o in replay(router, arrivals)
             if isinstance(o, Completed)
         }
         assert sharded == single
@@ -787,7 +777,7 @@ class TestProcessTransport:
         )
         try:
             arrivals = _arrivals(8, rate_spacing=0.0, db_ids=DB_IDS[:4])
-            outcomes = replay_sharded(router, arrivals)
+            outcomes = replay(router, arrivals)
             assert len(outcomes) == 8
             assert all(isinstance(o, Completed) for o in outcomes)
             metrics = router.metrics()
@@ -815,7 +805,7 @@ class TestProcessTransport:
             handle.kill()
             assert not handle.alive()
             assert router.submit(_request(0, db_id=DB_IDS[0])) is None
-            outcomes = replay_sharded(router, [])
+            outcomes = replay(router, [])
             assert len(outcomes) == 1
             assert isinstance(outcomes[0], Completed)
             assert any(f["kind"] == "restart" for f in router.failures)
