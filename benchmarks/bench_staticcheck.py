@@ -1,30 +1,17 @@
 """Staticcheck engine cost: wall-time per rule over the real tree.
 
-Two tables:
-
-1. each registered rule run alone over ``src/repro`` (parsing
-   amortized — the module set is loaded once and shared), plus the
-   full registry in one pass.  Keeps the lint gate honest about which
-   checker pays for the tree walk as rules accumulate: the deep
-   checkers (STAGE001's helper fixpoint, LOCK001's summary expansion,
-   the CFG-based flow rules) should stay within an order of magnitude
-   of the single-visitor ARCH rules.
-2. the incremental cache: a cold run (every module analyzed, cache
-   populated) versus a warm run (every incremental rule served from
-   the cache).  Warm must be measurably faster AND byte-identical.
+Each registered rule runs alone over ``src/repro`` (parsing amortized —
+the module set is loaded once and shared), plus the full registry in
+one pass.  Keeps the lint gate honest about which checker pays for the
+tree walk as rules accumulate: the deep checkers (STAGE001's helper
+fixpoint, LOCK001's summary expansion, the CFG-based flow rules) should
+stay within an order of magnitude of the single-visitor ARCH rules.
 """
 
 import time
 from pathlib import Path
 
-from repro.staticcheck import (
-    REGISTRY,
-    FindingCache,
-    check_modules,
-    load_tree,
-    render_json,
-    rules_fingerprint,
-)
+from repro.staticcheck import REGISTRY, check_modules, load_tree
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TREE = REPO_ROOT / "src" / "repro"
@@ -90,60 +77,3 @@ def test_staticcheck_rule_cost(benchmark, report):
     )
     assert by_rule["ALL"]["ms/pass"] <= individual_ms * 1.5 + 50.0
 
-
-def test_staticcheck_cache_cold_vs_warm(benchmark, report, tmp_path):
-    modules = load_tree(TREE)
-    fingerprint = rules_fingerprint(
-        [REGISTRY.get(rule_id) for rule_id in REGISTRY.ids()]
-    )
-    cache_path = tmp_path / "cache.json"
-
-    def timed(cache):
-        start = time.perf_counter()
-        result = check_modules(modules, rules=REGISTRY.create(), cache=cache)
-        elapsed_ms = 1000 * (time.perf_counter() - start)
-        cache.save()
-        return result, elapsed_ms
-
-    def run():
-        cold, cold_ms = timed(FindingCache(cache_path, fingerprint))
-        warm_runs = []
-        for _ in range(ROUNDS):
-            warm_runs.append(timed(FindingCache(cache_path, fingerprint)))
-        warm, _ = warm_runs[0]
-        warm_ms = min(ms for _, ms in warm_runs)
-        rows = [
-            {
-                "run": "cold",
-                "ms/pass": round(cold_ms, 2),
-                "cache hits": cold.cache_hits,
-                "cache misses": cold.cache_misses,
-            },
-            {
-                "run": "warm",
-                "ms/pass": round(warm_ms, 2),
-                "cache hits": warm.cache_hits,
-                "cache misses": warm.cache_misses,
-            },
-            {
-                "run": "speedup",
-                "ms/pass": round(cold_ms / max(warm_ms, 1e-9), 2),
-                "cache hits": "-",
-                "cache misses": "-",
-            },
-        ]
-        report(
-            "staticcheck_cache_cold_vs_warm",
-            rows,
-            f"staticcheck — incremental cache over src/repro "
-            f"({len(modules)} files, warm = best of {ROUNDS})",
-        )
-        # warm output is byte-identical to cold…
-        assert render_json(warm) == render_json(cold)
-        # …every incremental (module, rule) pair was served from cache…
-        assert warm.cache_misses == 0 and warm.cache_hits > 0
-        # …and skipping the analyses actually saves wall time.
-        assert warm_ms < cold_ms
-        return rows
-
-    benchmark.pedantic(run, rounds=1, iterations=1)

@@ -645,7 +645,8 @@ def _cmd_providers(args: argparse.Namespace) -> int:
 
 
 #: ``repro check`` exit codes — a stable contract for CI wrappers:
-#: 0 = clean, 1 = findings or stale baseline, 2 = usage error.
+#: 0 = clean, 1 = findings, 2 = usage error (including a source file
+#: that does not parse or is not UTF-8).
 CHECK_OK = 0
 CHECK_FINDINGS = 1
 CHECK_USAGE = 2
@@ -737,70 +738,20 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"repro check: no such directory: {root}", file=sys.stderr)
         return CHECK_USAGE
     rule_ids = args.rules.split(",") if args.rules else None
-    if args.write_baseline and not args.baseline:
+    try:
+        result = staticcheck.check_tree(root, rule_ids=rule_ids)
+    except KeyError as exc:
+        print(f"repro check: {exc.args[0]}", file=sys.stderr)
+        return CHECK_USAGE
+    except SyntaxError as exc:
         print(
-            "repro check: --write-baseline requires --baseline PATH",
+            f"repro check: {exc.filename}:{exc.lineno}: {exc.msg}",
             file=sys.stderr,
         )
         return CHECK_USAGE
 
-    baseline = None
-    baseline_path = Path(args.baseline) if args.baseline else None
-    if baseline_path is not None and baseline_path.exists() and not args.write_baseline:
-        baseline = staticcheck.load_baseline(baseline_path)
-
-    cache = None
-    if args.cache:
-        try:
-            rule_classes = [
-                staticcheck.REGISTRY.get(rid)
-                for rid in (rule_ids or staticcheck.REGISTRY.ids())
-            ]
-        except KeyError as exc:
-            print(f"repro check: {exc.args[0]}", file=sys.stderr)
-            return CHECK_USAGE
-        cache = staticcheck.FindingCache(
-            args.cache, staticcheck.rules_fingerprint(rule_classes)
-        )
-
-    try:
-        result = staticcheck.check_tree(
-            root, rule_ids=rule_ids, baseline=baseline, cache=cache
-        )
-    except KeyError as exc:
-        print(f"repro check: {exc.args[0]}", file=sys.stderr)
-        return CHECK_USAGE
-    if cache is not None:
-        cache.save()
-
-    if args.write_baseline:
-        staticcheck.save_baseline(
-            staticcheck.Baseline.from_findings(result.findings), baseline_path
-        )
-        print(
-            f"wrote {len(result.findings)} grandfathered finding(s) "
-            f"to {baseline_path}"
-        )
-        return CHECK_OK
-
-    if args.fix:
-        diff, changed = staticcheck.apply_fixes(
-            result, root, baseline_path=baseline_path
-        )
-        if diff:
-            print(diff, end="")
-        print(f"fixed {changed} file(s)")
-        # Findings the fixer cannot retire (anything but stale
-        # suppressions / stale baseline entries) still fail the run.
-        remaining = [f for f in result.findings if f.rule != "SUP001"]
-        if result.stale_baseline and baseline_path is None:
-            return CHECK_FINDINGS
-        return CHECK_OK if not remaining else CHECK_FINDINGS
-
     if args.format == "json":
         print(staticcheck.render_json(result))
-    elif args.format == "sarif":
-        print(staticcheck.render_sarif(result))
     else:
         print(staticcheck.render_text(result))
     return CHECK_OK if result.ok() else CHECK_FINDINGS
@@ -1086,19 +1037,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="tree to check (default: the installed repro package)",
     )
     check_parser.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
+        "--format", default="text", choices=("text", "json"),
     )
     check_parser.add_argument(
         "--rules", default=None,
         help="comma-separated rule ids to run (default: all registered)",
-    )
-    check_parser.add_argument(
-        "--baseline", default=None,
-        help="JSON baseline file of grandfathered findings",
-    )
-    check_parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to --baseline instead of failing",
     )
     check_parser.add_argument(
         "--explain", default=None, metavar="RULE",
@@ -1107,16 +1050,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--list", action="store_true",
         help="list registered rules and exit",
-    )
-    check_parser.add_argument(
-        "--fix", action="store_true",
-        help="delete stale suppression comments and prune stale "
-             "baseline entries, printing a unified diff",
-    )
-    check_parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="incremental finding cache file; unchanged modules skip "
-             "per-module rules on warm runs",
     )
     check_parser.set_defaults(func=_cmd_check)
     return parser

@@ -52,8 +52,8 @@ from repro.promptgen.builder import DatabasePrompt
 from repro.promptgen.options import PromptOptions
 from repro.reliability.clock import SYSTEM_CLOCK, Clock
 from repro.sqlgen.ast import Query
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
 from repro.sqlgen.skeleton import skeleton_of_query
 from repro.text.embedder import HashedNgramEmbedder
 from repro.text.pattern import extract_pattern
@@ -313,7 +313,10 @@ class CodeSParser:
         if not self.fine_tuned:
             raise CheckpointError("cannot save a parser that was not fine-tuned")
         index_payload = [
-            {"question": entry.question, "sql": serialize(entry.template)}
+            {
+                "question": entry.question,
+                "sql": SQLITE_EMITTER.serialize(entry.template),
+            }
             for entry in self._index
         ]
         meta = {
@@ -509,7 +512,7 @@ class CodeSParser:
         """
         for template in self._skeleton_bank[:max_templates]:
             for candidate in instantiate_template(template, ctx):
-                sql = serialize(candidate.query)
+                sql = SQLITE_EMITTER.serialize(candidate.query)
                 if database.is_executable(sql):
                     return sql
         return None

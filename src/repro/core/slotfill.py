@@ -665,9 +665,9 @@ def instantiate_template(
             filled = filler.fill(template)
             if filled is None:
                 continue
-            from repro.sqlgen.serializer import serialize
+            from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
-            key = serialize(filled).lower()
+            key = SQLITE_EMITTER.serialize(filled).lower()
             if key in seen:
                 continue
             seen.add(key)

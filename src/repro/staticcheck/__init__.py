@@ -5,41 +5,27 @@ the :class:`~repro.staticcheck.registry.Rule` protocol, registered in
 a global :class:`~repro.staticcheck.registry.RuleRegistry`, and run by
 :func:`check_tree` / :func:`check_modules` over parsed
 :class:`~repro.staticcheck.module.ModuleContext` objects.  Findings
-carry source spans and line-independent fingerprints; inline
-``# staticcheck: disable=RULE`` comments and a committed baseline file
-grandfather known findings without letting new ones in.  Emitters
-render text, JSON, and SARIF 2.1.0 — all byte-deterministic.
+carry source spans; an inline ``# staticcheck: disable=RULE`` comment
+silences one rule on one line, and a disable comment that silences
+nothing is itself a finding (SUP001).  Emitters render text and JSON,
+both byte-deterministic.
 
 Flow-sensitive rules (RES001 resource leaks, EXC001 exception flow,
 DEAD001 dead code) build on the intraprocedural CFG (``cfg.py``) and
-worklist dataflow solver (``dataflow.py``); a content-hash incremental
-cache (``cache.py``) makes warm runs skip unchanged modules, and
-``fix.py`` powers ``repro check --fix``.
+worklist dataflow solver (``dataflow.py``).
 
 Entry point: ``repro check`` (CLI).  See DESIGN.md §13–§14 for the
 architecture and how to add a rule.
 """
 
 from repro.staticcheck import rules as _rules  # noqa: F401  (registration)
-from repro.staticcheck.baseline import (
-    Baseline,
-    BaselineEntry,
-    load_baseline,
-    save_baseline,
-)
-from repro.staticcheck.cache import (
-    FindingCache,
-    content_hash,
-    rules_fingerprint,
-)
 from repro.staticcheck.cfg import CFG, Block, build_cfg, function_nodes
 from repro.staticcheck.dataflow import (
     liveness,
     reaching_definitions,
     solve,
 )
-from repro.staticcheck.emit import render_json, render_sarif, render_text
-from repro.staticcheck.fix import apply_fixes
+from repro.staticcheck.emit import render_json, render_text
 from repro.staticcheck.findings import (
     ERROR,
     SEVERITIES,
@@ -69,10 +55,6 @@ __all__ = [
     "RuleRegistry",
     "REGISTRY",
     "register",
-    "Baseline",
-    "BaselineEntry",
-    "load_baseline",
-    "save_baseline",
     "CheckResult",
     "check_modules",
     "check_source",
@@ -80,10 +62,6 @@ __all__ = [
     "load_tree",
     "render_text",
     "render_json",
-    "render_sarif",
-    "FindingCache",
-    "content_hash",
-    "rules_fingerprint",
     "CFG",
     "Block",
     "build_cfg",
@@ -91,5 +69,4 @@ __all__ = [
     "solve",
     "liveness",
     "reaching_definitions",
-    "apply_fixes",
 ]

@@ -5,18 +5,12 @@ span idiom follows :mod:`repro.sqlgen.spans`: findings carry plain
 positions into the original text rather than threading location state
 through the AST value objects, so rules stay free to analyse whatever
 granularity they like and point back afterwards.
-
-Fingerprints deliberately exclude line numbers: a baseline entry must
-survive unrelated edits above the finding, so identity is
-``rule | path | message`` (with multiplicity handled by the baseline
-matcher, not the fingerprint).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ERROR = "error"
 WARNING = "warning"
@@ -59,20 +53,10 @@ class Finding:
     path: str
     span: SourceSpan
     message: str
-    #: True once the baseline matcher grandfathered this finding.
-    baselined: bool = field(default=False, compare=False)
 
     @property
     def line(self) -> int:
         return self.span.line
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
-        digest = hashlib.sha256(
-            f"{self.rule}|{self.path}|{self.message}".encode("utf-8")
-        )
-        return digest.hexdigest()[:16]
 
     def sort_key(self) -> tuple:
         return (self.path, self.span.line, self.span.col, self.rule, self.message)
@@ -89,6 +73,4 @@ class Finding:
             "line": self.span.line,
             "col": self.span.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
-            "baselined": self.baselined,
         }

@@ -4,12 +4,14 @@ Each checked file is parsed exactly once into a :class:`ModuleContext`
 shared by every rule.  Suppressions are comments of the form::
 
     something()  # staticcheck: disable=ARCH001
-    other()      # staticcheck: disable=ARCH003,DET001
+    other()      # staticcheck: disable=ARCH003,DET001 why this is fine
 
 scoped to *that line and those rules only* — a suppression never
 silences a different rule on the same line, the same rule on another
-line, or a whole file.  Comments are found with :mod:`tokenize`, so a
-``# staticcheck:`` spelling inside a string literal never counts.
+line, or a whole file.  The id list is comma-separated ids of the form
+``[A-Z]+[0-9]+``; anything after it is the justification.  Comments are
+found with :mod:`tokenize`, so a ``# staticcheck:`` spelling inside a
+string literal never counts.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 
-_SUPPRESS_RE = re.compile(r"staticcheck:\s*disable=([A-Za-z0-9_,\s]+)")
+_RULE_ID = r"[A-Z]+[0-9]+"
+_SUPPRESS_RE = re.compile(
+    rf"staticcheck:\s*disable=\s*({_RULE_ID}(?:\s*,\s*{_RULE_ID})*)"
+)
 
 
 @dataclass
@@ -49,13 +54,8 @@ def find_suppressions(source: str) -> dict[int, set[str]]:
             match = _SUPPRESS_RE.search(token.string)
             if match is None:
                 continue
-            rules = {
-                part.strip()
-                for part in match.group(1).split(",")
-                if part.strip()
-            }
-            if rules:
-                table.setdefault(token.start[0], set()).update(rules)
+            rules = {part.strip() for part in match.group(1).split(",")}
+            table.setdefault(token.start[0], set()).update(rules)
     except tokenize.TokenError:
         # Unterminated constructs: the ast parse will surface the real
         # syntax error; suppressions just come up empty.

@@ -32,11 +32,6 @@ class Rule:
     id: str = ""
     severity: str = "error"
     title: str = ""
-    #: True when ``check`` depends only on the one module it is given
-    #: (no cross-module state, no ``finish`` findings) — such rules'
-    #: per-module findings are safe to serve from the incremental
-    #: cache.  Rules that accumulate whole-tree state set this False.
-    incremental: bool = True
 
     def check(self, module: ModuleContext) -> list[Finding]:
         """Findings for one module (called once per file)."""

@@ -93,8 +93,6 @@ class LockOrderRule(Rule):
     id = "LOCK001"
     severity = "error"
     title = "lock-order inversion or blocking call under lock"
-    #: the lock-order graph spans modules; never served from cache.
-    incremental = False
 
     def __init__(self):
         #: edge → (path, line, method) of first sighting, across modules

@@ -1,4 +1,4 @@
-"""The check driver: parse, run rules, apply suppressions and baseline.
+"""The check runner: parse, run rules, apply inline suppressions.
 
 Pipeline per run (all deterministic):
 
@@ -9,10 +9,9 @@ Pipeline per run (all deterministic):
 3. drop findings suppressed by an inline ``# staticcheck: disable=``
    comment on their line, tracking which suppressions fired;
 4. emit :class:`UnusedSuppressionRule` findings for suppressions that
-   silenced nothing (a stale disable comment is itself drift);
-5. split the remainder against the baseline: grandfathered findings
-   are reported separately, and baseline entries with no matching
-   finding are *stale* and fail the check until removed.
+   silenced nothing (a stale disable comment is itself drift).
+
+Whatever remains fails the check.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.staticcheck.baseline import Baseline, BaselineEntry
-from repro.staticcheck.cache import FindingCache, content_hash
 from repro.staticcheck.findings import Finding, SourceSpan
 from repro.staticcheck.module import ModuleContext, parse_module
 from repro.staticcheck.registry import REGISTRY, Rule, register
@@ -42,8 +39,6 @@ class UnusedSuppressionRule(Rule):
     id = "SUP001"
     severity = "warning"
     title = "unused inline suppression"
-    #: driven by whole-run suppression bookkeeping, never cached.
-    incremental = False
 
 
 @dataclass
@@ -51,60 +46,49 @@ class CheckResult:
     """Everything one run produced, pre-sorted and frozen for emitters."""
 
     findings: tuple[Finding, ...]
-    baselined: tuple[Finding, ...] = ()
-    stale_baseline: tuple[BaselineEntry, ...] = ()
     files: int = 0
     suppressed: int = 0
     rule_ids: tuple[str, ...] = field(default_factory=tuple)
-    #: ``(path, line, rule_id)`` for every suppression that silenced
-    #: nothing — the structural form ``repro check --fix`` consumes.
-    unused_suppressions: tuple[tuple[str, int, str], ...] = ()
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def ok(self) -> bool:
-        return not self.findings and not self.stale_baseline
+        return not self.findings
 
 
 def load_tree(root: str | Path) -> list[ModuleContext]:
-    """Parse every ``.py`` under ``root`` (sorted, posix-relative paths)."""
+    """Parse every ``.py`` under ``root`` (sorted, posix-relative paths).
+
+    Raises ``SyntaxError`` (``filename`` relative to ``root``) for a file
+    that does not parse or is not valid UTF-8.
+    """
     root = Path(root)
     modules: list[ModuleContext] = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
-        modules.append(parse_module(relative, path.read_text(encoding="utf-8")))
+        data = path.read_bytes()
+        try:
+            source = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise SyntaxError(
+                f"not valid UTF-8: {exc.reason}", (relative, line, None, None)
+            ) from None
+        modules.append(parse_module(relative, source))
     return modules
 
 
 def check_modules(
     modules: list[ModuleContext],
     rules: list[Rule] | None = None,
-    baseline: Baseline | None = None,
-    cache: FindingCache | None = None,
 ) -> CheckResult:
-    """Run ``rules`` (default: the whole registry) over parsed modules.
-
-    With a ``cache``, per-module findings of ``Rule.incremental`` rules
-    are served from it for unchanged files and recorded for the rest;
-    non-incremental rules (cross-module state) always run, so warm
-    output matches cold output exactly.  The caller saves the cache.
-    """
+    """Run ``rules`` (default: the whole registry) over parsed modules."""
     if rules is None:
         rules = REGISTRY.create()
     by_path = {module.path: module for module in modules}
     sup001 = next((r for r in rules if r.id == UnusedSuppressionRule.id), None)
     raw: list[Finding] = []
     for module in modules:
-        digest = content_hash(module.source) if cache is not None else ""
         for rule in rules:
-            if cache is not None and rule.incremental:
-                cached = cache.get(module.path, digest, rule.id)
-                if cached is None:
-                    cached = rule.check(module)
-                    cache.put(module.path, digest, rule.id, cached)
-                raw.extend(cached)
-            else:
-                raw.extend(rule.check(module))
+            raw.extend(rule.check(module))
     for rule in rules:
         raw.extend(rule.finish())
 
@@ -123,7 +107,6 @@ def check_modules(
 
     # Unused suppressions become findings themselves (unless the line
     # also disables SUP001, which is always considered used).
-    unused: list[tuple[str, int, str]] = []
     if sup001 is not None:
         for module in modules:
             for line, rule_ids in sorted(module.suppressions.items()):
@@ -134,7 +117,6 @@ def check_modules(
                         continue
                     if module.suppressed(UnusedSuppressionRule.id, line):
                         continue
-                    unused.append((module.path, line, rule_id))
                     kept.append(
                         sup001.finding(
                             module,
@@ -147,38 +129,17 @@ def check_modules(
 
     # Deduplicate (a rule pinning two identical findings to one node)
     # and order deterministically.
-    deduped = sorted(set(kept), key=Finding.sort_key)
-
-    if baseline is not None:
-        active, baselined, stale = baseline.match(deduped)
-    else:
-        active, baselined, stale = deduped, [], []
     return CheckResult(
-        findings=tuple(active),
-        baselined=tuple(baselined),
-        stale_baseline=tuple(stale),
+        findings=tuple(sorted(set(kept), key=Finding.sort_key)),
         files=len(modules),
         suppressed=suppressed,
         rule_ids=tuple(rule.id for rule in rules),
-        unused_suppressions=tuple(sorted(unused)),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
     )
 
 
-def check_tree(
-    root: str | Path,
-    rule_ids=None,
-    baseline: Baseline | None = None,
-    cache: FindingCache | None = None,
-) -> CheckResult:
+def check_tree(root: str | Path, rule_ids=None) -> CheckResult:
     """Parse and check every ``.py`` file under ``root``."""
-    return check_modules(
-        load_tree(root),
-        rules=REGISTRY.create(rule_ids),
-        baseline=baseline,
-        cache=cache,
-    )
+    return check_modules(load_tree(root), rules=REGISTRY.create(rule_ids))
 
 
 def check_source(

@@ -51,8 +51,8 @@ from repro.sqlgen.dialects import (
     serialize_dialect,
     transpile,
 )
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.sqlgen.parser import parse_sql
-from repro.sqlgen.serializer import serialize
 from tests.fixtures import bank_database
 
 pytestmark = pytest.mark.dialects
@@ -89,7 +89,7 @@ class TestDialectRegistry:
     def test_sqlite_emitter_is_byte_identical_to_serializer(self):
         for _, sql in _gold_corpus():
             query = parse_sql(sql)
-            assert serialize_dialect(query, "sqlite") == serialize(query)
+            assert serialize_dialect(query, "sqlite") == SQLITE_EMITTER.serialize(query)
 
 
 class TestRoundTripProperty:
@@ -98,7 +98,7 @@ class TestRoundTripProperty:
     def test_sqlite_emission_round_trips_every_gold_query(self):
         for name, sql in _gold_corpus():
             query = parse_sql(sql)
-            again = parse_sql(serialize(query))
+            again = parse_sql(SQLITE_EMITTER.serialize(query))
             assert again == query, f"{name}: {sql!r}"
 
     def test_ansi_and_tsql_transpilations_parse_back_to_the_same_ast(self):

@@ -1,5 +1,5 @@
-"""The staticcheck rule engine: registry, suppressions, baseline,
-emitters, and the three deep checkers (STAGE001, DET001, LOCK001)."""
+"""The staticcheck rule engine: registry, suppressions, emitters, and
+the three deep checkers (STAGE001, DET001, LOCK001)."""
 
 import json
 import textwrap
@@ -9,18 +9,14 @@ import pytest
 
 from repro.engine import _stages
 from repro.staticcheck import (
-    Baseline,
     REGISTRY,
     Rule,
     RuleRegistry,
     check_modules,
     check_source,
-    load_baseline,
     parse_module,
     render_json,
-    render_sarif,
     render_text,
-    save_baseline,
 )
 
 pytestmark = pytest.mark.staticcheck
@@ -94,8 +90,12 @@ class TestRegistry:
 
 class TestSuppressions:
     def test_disable_silences_exactly_that_rule_on_that_line(self):
-        source = "import time\nt = time.time()  # staticcheck: disable=ARCH001\n"
-        assert _rules(source) == []
+        for comment in (
+            "# staticcheck: disable=ARCH001",
+            "# staticcheck: disable=ARCH001 wall clock is fine here",
+        ):
+            source = f"import time\nt = time.time()  {comment}\n"
+            assert _rules(source) == [], comment
 
     def test_disable_of_other_rule_does_not_silence(self):
         source = "import time\nt = time.time()  # staticcheck: disable=ARCH002\n"
@@ -130,73 +130,6 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# baseline
-
-
-class TestBaseline:
-    SOURCE = "import time\nt = time.time()\n"
-
-    def _result(self, source, baseline=None):
-        module = parse_module("mod.py", source)
-        return check_modules(
-            [module], rules=REGISTRY.create(["ARCH001"]), baseline=baseline
-        )
-
-    def test_baseline_grandfathers_existing_findings(self):
-        first = self._result(self.SOURCE)
-        assert [f.rule for f in first.findings] == ["ARCH001"]
-        baseline = Baseline.from_findings(list(first.findings))
-        second = self._result(self.SOURCE, baseline=baseline)
-        assert second.findings == ()
-        assert len(second.baselined) == 1
-        assert second.baselined[0].baselined is True
-        assert second.ok()
-
-    def test_stale_entry_expires_and_fails(self):
-        dirty = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(dirty.findings))
-        clean = self._result("x = 1\n", baseline=baseline)
-        assert clean.findings == ()
-        assert len(clean.stale_baseline) == 1
-        assert not clean.ok()
-
-    def test_multiplicity_one_entry_covers_one_finding(self):
-        two = "import time\nt1 = time.time()\nt2 = time.time()\n"
-        result = self._result(two)
-        assert len(result.findings) == 2
-        baseline = Baseline.from_findings([result.findings[0]])
-        partial = self._result(two, baseline=baseline)
-        assert len(partial.findings) == 1  # the second occurrence stays active
-        assert len(partial.baselined) == 1
-        assert not partial.ok()
-
-    def test_fingerprint_is_line_independent(self):
-        shifted = "\n\n\nimport time\nt = time.time()\n"
-        original = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(original.findings))
-        moved = self._result(shifted, baseline=baseline)
-        assert moved.findings == ()
-        assert moved.ok()
-
-    def test_save_load_roundtrip(self, tmp_path):
-        result = self._result(self.SOURCE)
-        baseline = Baseline.from_findings(list(result.findings), note="legacy")
-        path = tmp_path / "baseline.json"
-        save_baseline(baseline, path)
-        loaded = load_baseline(path)
-        assert len(loaded) == 1
-        assert loaded.entries[0].note == "legacy"
-        again = self._result(self.SOURCE, baseline=loaded)
-        assert again.ok()
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-
-# ---------------------------------------------------------------------------
 # emitters
 
 
@@ -216,17 +149,6 @@ class TestEmitters:
         payload = json.loads(a)
         assert payload["ok"] is False
         assert payload["findings"][0]["rule"] == "ARCH001"
-        assert payload["findings"][0]["fingerprint"]
-
-    def test_sarif_structure(self):
-        log = json.loads(render_sarif(self._result()))
-        assert log["version"] == "2.1.0"
-        run = log["runs"][0]
-        assert run["tool"]["driver"]["name"] == "repro-staticcheck"
-        assert run["tool"]["driver"]["rules"][0]["id"] == "ARCH001"
-        result = run["results"][0]
-        assert result["ruleId"] == "ARCH001"
-        assert result["locations"][0]["physicalLocation"]["region"]["startLine"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """The flow-sensitive staticcheck layer: CFG, dataflow, RES001/EXC001/
-DEAD001, the incremental cache, the ``--fix`` autofixer, and the SARIF
-golden."""
+DEAD001, and the golden JSON for the flow rules."""
 
 import ast
 import json
@@ -14,21 +13,15 @@ import pytest
 
 from repro.staticcheck import (
     REGISTRY,
-    FindingCache,
     build_cfg,
     check_modules,
     check_source,
-    check_tree,
-    content_hash,
     liveness,
     parse_module,
     reaching_definitions,
     render_json,
-    render_sarif,
-    rules_fingerprint,
 )
 from repro.staticcheck.cfg import NORMAL
-from repro.staticcheck.fix import apply_fixes
 
 pytestmark = pytest.mark.staticcheck
 
@@ -894,169 +887,10 @@ class TestSuppressionOfFinishFindings:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
+# flow-rule golden — byte-stable across processes and hash seeds
 
 
-FULL_FINGERPRINT = rules_fingerprint(
-    [REGISTRY.get(rule_id) for rule_id in REGISTRY.ids()]
-)
-
-DIRTY_TREE = {
-    "clean.py": "x = 1\n",
-    "dirty.py": "import time\nt = time.time()\n",
-    "leaky.py": (
-        "def f(path):\n"
-        "    handle = open(path)\n"
-        "    handle.read()\n"
-        "    return 0\n"
-    ),
-}
-
-
-def _write_tree(root: Path, files: dict) -> None:
-    for name, source in files.items():
-        (root / name).write_text(source, encoding="utf-8")
-
-
-class TestIncrementalCache:
-    def _run(self, root: Path, cache_path: Path):
-        cache = FindingCache(cache_path, FULL_FINGERPRINT)
-        result = check_tree(root, cache=cache)
-        cache.save()
-        return result, cache
-
-    def test_warm_run_byte_identical_to_cold(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        _write_tree(root, DIRTY_TREE)
-        cache_path = tmp_path / "cache.json"
-
-        cold, cold_cache = self._run(root, cache_path)
-        warm, warm_cache = self._run(root, cache_path)
-
-        assert cold_cache.hits == 0
-        assert warm_cache.misses == 0
-        assert warm_cache.hits == cold_cache.misses > 0
-        assert render_json(cold) == render_json(warm)
-        assert render_sarif(cold) == render_sarif(warm)
-        assert warm.cache_hits > 0 and warm.cache_misses == 0
-
-    def test_edited_file_reanalyzed_others_cached(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        _write_tree(root, DIRTY_TREE)
-        cache_path = tmp_path / "cache.json"
-        self._run(root, cache_path)
-
-        (root / "clean.py").write_text("x = 2\n", encoding="utf-8")
-        warm, cache = self._run(root, cache_path)
-        incremental_rules = sum(
-            1 for rid in REGISTRY.ids() if REGISTRY.get(rid).incremental
-        )
-        # only the edited file misses; one miss per incremental rule.
-        assert cache.misses == incremental_rules
-        assert {f.rule for f in warm.findings} == {"ARCH001", "RES001"}
-
-    def test_rule_edit_invalidates_whole_cache(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        _write_tree(root, DIRTY_TREE)
-        cache_path = tmp_path / "cache.json"
-        self._run(root, cache_path)
-
-        cache = FindingCache(cache_path, "different-fingerprint")
-        result = check_tree(root, cache=cache)
-        assert cache.hits == 0
-        assert {f.rule for f in result.findings} == {"ARCH001", "RES001"}
-
-    def test_deleted_files_pruned_on_save(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        _write_tree(root, DIRTY_TREE)
-        cache_path = tmp_path / "cache.json"
-        self._run(root, cache_path)
-
-        (root / "leaky.py").unlink()
-        self._run(root, cache_path)
-        payload = json.loads(cache_path.read_text(encoding="utf-8"))
-        assert "leaky.py" not in payload["files"]
-        assert set(payload["files"]) == {"clean.py", "dirty.py"}
-
-    def test_corrupt_cache_means_cold_run(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        _write_tree(root, DIRTY_TREE)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        result, cache = self._run(root, cache_path)
-        assert cache.hits == 0
-        assert {f.rule for f in result.findings} == {"ARCH001", "RES001"}
-
-    def test_content_hash_is_stable(self):
-        assert content_hash("x = 1\n") == content_hash("x = 1\n")
-        assert content_hash("x = 1\n") != content_hash("x = 2\n")
-
-
-# ---------------------------------------------------------------------------
-# --fix autofixer (library level; the CLI path is covered in test_cli)
-
-
-class TestAutofix:
-    def test_stale_suppressions_removed_idempotently(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "mod.py").write_text(
-            "x = 1  # staticcheck: disable=ARCH001\n"
-            "y = 2  # staticcheck: disable=ARCH001,ARCH003 (why)\n",
-            encoding="utf-8",
-        )
-        result = check_tree(root)
-        assert {f.rule for f in result.findings} == {"SUP001"}
-
-        diff, changed = apply_fixes(result, root)
-        assert changed == 1
-        assert "-x = 1  # staticcheck: disable=ARCH001" in diff
-        assert (root / "mod.py").read_text(encoding="utf-8") == (
-            "x = 1\ny = 2\n"
-        )
-
-        again = check_tree(root)
-        diff2, changed2 = apply_fixes(again, root)
-        assert (diff2, changed2) == ("", 0)
-
-    def test_partial_suppression_keeps_live_rule(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "mod.py").write_text(
-            "import time\n"
-            "t = time.time()  # staticcheck: disable=ARCH001,ARCH003\n",
-            encoding="utf-8",
-        )
-        result = check_tree(root)
-        apply_fixes(result, root)
-        # the used ARCH001 suppression survives; the stale ARCH003 goes.
-        assert (root / "mod.py").read_text(encoding="utf-8").endswith(
-            "t = time.time()  # staticcheck: disable=ARCH001\n"
-        )
-        assert check_tree(root).findings == ()
-
-    def test_comment_only_line_deleted(self, tmp_path):
-        root = tmp_path / "tree"
-        root.mkdir()
-        (root / "mod.py").write_text(
-            "x = 1\n# staticcheck: disable=ARCH001\ny = 2\n",
-            encoding="utf-8",
-        )
-        result = check_tree(root)
-        apply_fixes(result, root)
-        assert (root / "mod.py").read_text(encoding="utf-8") == "x = 1\ny = 2\n"
-
-
-# ---------------------------------------------------------------------------
-# SARIF golden — byte-stable across processes and hash seeds
-
-
-SARIF_FIXTURE = """\
+FLOW_FIXTURE = """\
 import sqlite3
 
 from repro.errors import ReproError
@@ -1081,58 +915,54 @@ def dead():
     print("unreachable")
 """
 
-SARIF_GOLDEN = GOLDEN_DIR / "staticcheck_flow.sarif"
+FLOW_GOLDEN = GOLDEN_DIR / "staticcheck_flow.json"
+FLOW_RULES = ["DEAD001", "EXC001", "RES001"]
 
 
-def _fixture_sarif() -> str:
-    module = parse_module("flow/mod.py", SARIF_FIXTURE)
-    result = check_modules(
-        [module], rules=REGISTRY.create(["DEAD001", "EXC001", "RES001"])
-    )
-    return render_sarif(result) + "\n"
+def _fixture_json() -> str:
+    module = parse_module("flow/mod.py", FLOW_FIXTURE)
+    result = check_modules([module], rules=REGISTRY.create(FLOW_RULES))
+    return render_json(result) + "\n"
 
 
 class TestSarifGolden:
+    """Pins the RES001/EXC001/DEAD001 findings on ``FLOW_FIXTURE`` as
+    the JSON emitter prints them."""
+
     def test_matches_committed_golden(self):
-        assert _fixture_sarif() == SARIF_GOLDEN.read_text(encoding="utf-8")
+        assert _fixture_json() == FLOW_GOLDEN.read_text(encoding="utf-8")
 
     def test_golden_is_schema_shaped(self):
-        log = json.loads(SARIF_GOLDEN.read_text(encoding="utf-8"))
-        assert log["version"] == "2.1.0"
-        assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "repro-staticcheck"
-        rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert rule_ids == ["DEAD001", "EXC001", "RES001"]
-        for rule in run["tool"]["driver"]["rules"]:
-            assert rule["fullDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] == "error"
-        for result in run["results"]:
-            assert result["ruleId"] in rule_ids
-            location = result["locations"][0]["physicalLocation"]
-            assert location["artifactLocation"]["uri"] == "flow/mod.py"
-            assert location["region"]["startLine"] >= 1
-            assert result["fingerprints"]["staticcheck/v1"]
+        payload = json.loads(FLOW_GOLDEN.read_text(encoding="utf-8"))
+        assert payload["files"] == 1
+        assert payload["ok"] is False
+        rule_ids = sorted({finding["rule"] for finding in payload["findings"]})
+        assert rule_ids == FLOW_RULES
+        for finding in payload["findings"]:
+            assert finding["severity"] == "error"
+            assert finding["message"]
+            assert finding["path"] == "flow/mod.py"
+            assert finding["line"] >= 1
 
     def test_byte_stable_across_hash_seeds(self):
         script = (
             "import sys\n"
             "from repro.staticcheck import REGISTRY, check_modules, "
-            "parse_module, render_sarif\n"
+            "parse_module, render_json\n"
             "source = sys.stdin.read()\n"
             "module = parse_module('flow/mod.py', source)\n"
-            "result = check_modules([module], "
-            "rules=REGISTRY.create(['DEAD001', 'EXC001', 'RES001']))\n"
-            "sys.stdout.write(render_sarif(result) + '\\n')\n"
+            f"result = check_modules([module], "
+            f"rules=REGISTRY.create({FLOW_RULES!r}))\n"
+            "sys.stdout.write(render_json(result) + '\\n')\n"
         )
-        golden = SARIF_GOLDEN.read_bytes()
+        golden = FLOW_GOLDEN.read_bytes()
         for seed in ("0", "42"):
             env = dict(os.environ)
             env["PYTHONHASHSEED"] = seed
             env["PYTHONPATH"] = str(REPO_ROOT / "src")
             proc = subprocess.run(
                 [sys.executable, "-c", script],
-                input=SARIF_FIXTURE.encode("utf-8"),
+                input=FLOW_FIXTURE.encode("utf-8"),
                 capture_output=True,
                 env=env,
             )
