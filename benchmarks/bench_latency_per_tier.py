@@ -1,10 +1,11 @@
 """Section 9.7: inference latency and deployment requirements.
 
-Measures wall-clock end-to-end latency (prompt construction through
-execution-guided selection) per CodeS tier, next to the *simulated*
-per-sample API latency of the closed prompting baselines.  Reproduced
-shape: latency grows with tier size but stays orders of magnitude below
-the prompting pipelines' API round-trips.
+Measures wall-clock end-to-end latency in milliseconds per sample
+(prompt construction through execution-guided selection) per CodeS
+tier, next to the *simulated* per-sample API latency of the closed
+prompting baselines.  Reproduced shape: latency grows with tier size
+but stays orders of magnitude below the prompting pipelines' API
+round-trips.
 """
 
 from repro.baselines import make_baseline
@@ -24,7 +25,7 @@ def test_latency_per_tier(benchmark, spider, parsers, report):
                 {
                     "model": f"SFT {tier}",
                     "params_B": get_model_config(tier).params_billions,
-                    "latency s/sample": round(result.mean_latency_s, 4),
+                    "latency ms/sample": round(1000 * result.mean_latency_s, 1),
                     "source": "measured",
                 }
             )
@@ -34,7 +35,7 @@ def test_latency_per_tier(benchmark, spider, parsers, report):
                 {
                     "model": name,
                     "params_B": ">=175",
-                    "latency s/sample": spec.simulated_api_latency_s,
+                    "latency ms/sample": round(1000 * spec.simulated_api_latency_s),
                     "source": "simulated API",
                 }
             )
@@ -45,10 +46,10 @@ def test_latency_per_tier(benchmark, spider, parsers, report):
     measured = [row for row in rows if row["source"] == "measured"]
     # Bigger tiers search more and are therefore slower.
     assert (
-        measured[-1]["latency s/sample"] >= measured[0]["latency s/sample"] * 0.8
+        measured[-1]["latency ms/sample"] >= measured[0]["latency ms/sample"] * 0.8
     )
     # Local inference beats the prompting pipelines' API latency.
     api = [row for row in rows if row["source"] == "simulated API"]
     assert all(
-        m["latency s/sample"] < a["latency s/sample"] for m in measured for a in api
+        m["latency ms/sample"] < a["latency ms/sample"] for m in measured for a in api
     )

@@ -512,7 +512,6 @@ class CodeSParser:
         """
         for template in self._skeleton_bank[:max_templates]:
             for candidate in instantiate_template(template, ctx):
-                sql = SQLITE_EMITTER.serialize(candidate.query)
-                if database.is_executable(sql):
-                    return sql
+                if database.is_executable(candidate.sql):
+                    return candidate.sql
         return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.db.schema import Column, Schema
@@ -47,6 +48,7 @@ from repro.sqlgen.ast import (
     SelectItem,
     identifier_key,
 )
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?")
 _QUOTED_RE = re.compile(r"'([^']*)'|\"([^\"]*)\"")
@@ -125,7 +127,14 @@ def question_aggregate(question: str, default: str) -> str:
 
 @dataclass
 class InstantiationContext:
-    """Everything slot filling needs about the target question/database."""
+    """Everything slot filling needs about the target question/database.
+
+    The fields are set once per question.  What every filler derives
+    from them alone (table and column rankings, the question's literal
+    spans, value-format repairs) is computed on first use and kept
+    here, so the many fillers of one question share it.  The memos
+    hold immutable values only; a filler copies what it consumes.
+    """
 
     question: str
     schema: Schema
@@ -134,34 +143,97 @@ class InstantiationContext:
     use_types: bool = True
     slot_depth: int = 3
     representative: Optional[Callable[[str, str], list]] = None
+    _column_memo: dict[tuple[str, str], tuple[Column, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _repair_memo: dict[tuple[str, str, str], str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def ranked_tables(self) -> list[str]:
+    @cached_property
+    def ranked_tables(self) -> tuple[str, ...]:
         ranked = self.scores.top_tables(len(self.schema.tables))
         known = {t.name.lower() for t in self.schema.tables}
-        return [name for name in ranked if name in known]
+        return tuple(name for name in ranked if name in known)
 
     def ranked_columns(self, table_name: str) -> list[str]:
         table = self.schema.table(table_name)
         return self.scores.top_columns(table_name, len(table.columns))
 
+    def column_candidates(self, table_name: str, kind: str) -> tuple[Column, ...]:
+        """Columns of ``table_name`` by rank, filtered to ``kind``'s types."""
+        key = (table_name, kind)
+        candidates = self._column_memo.get(key)
+        if candidates is None:
+            table = self.schema.table(table_name)
+            ranked = [table.column(name) for name in self.ranked_columns(table_name)]
+            if self.use_types and kind == "numeric":
+                ranked = [c for c in ranked if c.type.upper() in _NUMERIC_TYPES]
+            elif self.use_types and kind == "text":
+                ranked = [c for c in ranked if c.type.upper() in _TEXT_TYPES]
+            candidates = self._column_memo[key] = tuple(ranked)
+        return candidates
 
-def _question_numbers(question: str) -> list[float | int]:
-    numbers: list[float | int] = []
-    for raw in _NUMBER_RE.findall(question):
-        numbers.append(float(raw) if "." in raw else int(raw))
-    return numbers
+    @cached_property
+    def question_numbers(self) -> tuple[float | int, ...]:
+        """Numbers mentioned in the question, in mention order."""
+        return tuple(
+            float(raw) if "." in raw else int(raw)
+            for raw in _NUMBER_RE.findall(self.question)
+        )
 
+    @cached_property
+    def question_strings(self) -> tuple[str, ...]:
+        """Literal string candidates in mention order (quoted, then entities)."""
+        strings: list[str] = []
+        for quoted in _QUOTED_RE.finditer(self.question):
+            strings.append(quoted.group(1) or quoted.group(2))
+        for span in _CAPITALIZED_SPAN_RE.finditer(self.question):
+            text = span.group(1)
+            if text not in strings:
+                strings.append(text)
+        return tuple(strings)
 
-def _question_strings(question: str) -> list[str]:
-    """Literal string candidates in mention order (quoted, then entities)."""
-    strings: list[str] = []
-    for quoted in _QUOTED_RE.finditer(question):
-        strings.append(quoted.group(1) or quoted.group(2))
-    for span in _CAPITALIZED_SPAN_RE.finditer(question):
-        text = span.group(1)
-        if text not in strings:
-            strings.append(text)
-    return strings
+    def repair_value_format(self, surface: str, table: str, column: str) -> str:
+        """Align a question-surface value with the column's stored format.
+
+        The prompt's representative values (§6.3) show the model how the
+        column actually stores data; when a stored value *contains* the
+        question's mention ("Graz" -> "City of Graz", "F" -> "Female"),
+        the stored form is copied.  Semantic re-expressions with no
+        surface overlap ("approved" -> "granted") cannot be repaired —
+        the sparse-retrieval weakness the paper reports on Dr.Spider's
+        DBcontent-equivalence split.
+        """
+        key = (surface, table, column)
+        repaired = self._repair_memo.get(key)
+        if repaired is None:
+            repaired = self._repair_memo[key] = self._repair(surface, table, column)
+        return repaired
+
+    def _repair(self, surface: str, table: str, column: str) -> str:
+        from repro.retrieval.lcs import longest_common_substring
+
+        if self.representative is None or not surface:
+            return surface
+        stored_values = [
+            value
+            for value in self.representative(table, column)
+            if isinstance(value, str)
+        ]
+        if surface in stored_values:
+            return surface
+        best = None
+        best_containment = 0.0
+        for value in stored_values:
+            shared = longest_common_substring(surface, value)
+            containment = len(shared) / len(surface)
+            if containment > best_containment:
+                best_containment = containment
+                best = value
+        if best is not None and best_containment >= 0.8:
+            return best
+        return surface
 
 
 class _Filler:
@@ -177,8 +249,8 @@ class _Filler:
         self.table_map = table_map
         self.variant = variant
         self._column_cache: dict[tuple[str, str], ColumnRef | None] = {}
-        self._numbers = _question_numbers(ctx.question)
-        self._strings = _question_strings(ctx.question)
+        self._numbers = list(ctx.question_numbers)
+        self._strings = list(ctx.question_strings)
         self._available_values = list(ctx.matched_values)
         self._used_columns: set[str] = set()
         #: Literal slots that had to fall back to template/DB defaults
@@ -194,18 +266,6 @@ class _Filler:
         if len(self.table_map) == 1:
             return next(iter(self.table_map.values()))
         return None
-
-    def _candidates(self, table_name: str, kind: str) -> list[Column]:
-        table = self.ctx.schema.table(table_name)
-        ranked_names = self.ctx.ranked_columns(table_name)
-        ranked = [table.column(name) for name in ranked_names]
-        if not self.ctx.use_types:
-            return ranked
-        if kind == "numeric":
-            return [c for c in ranked if c.type.upper() in _NUMERIC_TYPES]
-        if kind == "text":
-            return [c for c in ranked if c.type.upper() in _TEXT_TYPES]
-        return ranked
 
     def map_column(
         self, template_col: ColumnRef, kind: str = "any", role: str = ""
@@ -223,7 +283,7 @@ class _Filler:
         if table_name is None:
             self._column_cache[cache_key] = None
             return None
-        candidates = self._candidates(table_name, kind)
+        candidates = self.ctx.column_candidates(table_name, kind)
         # Projection/grouping/aggregation slots should avoid raw key columns.
         if role in ("select", "group", "agg", "order") and len(candidates) > 1:
             non_keys = [
@@ -294,7 +354,7 @@ class _Filler:
             return None, fallback
         if self._strings:
             surface = self._strings.pop(0)
-            repaired = self._repair_value_format(
+            repaired = self.ctx.repair_value_format(
                 surface, table_name, preferred_col.column
             )
             return preferred_col, Literal(repaired)
@@ -305,40 +365,6 @@ class _Filler:
             if values:
                 return preferred_col, Literal(values[0])
         return preferred_col, fallback
-
-    def _repair_value_format(self, surface: str, table: str, column: str) -> str:
-        """Align a question-surface value with the column's stored format.
-
-        The prompt's representative values (§6.3) show the model how the
-        column actually stores data; when a stored value *contains* the
-        question's mention ("Graz" -> "City of Graz", "F" -> "Female"),
-        the stored form is copied.  Semantic re-expressions with no
-        surface overlap ("approved" -> "granted") cannot be repaired —
-        the sparse-retrieval weakness the paper reports on Dr.Spider's
-        DBcontent-equivalence split.
-        """
-        from repro.retrieval.lcs import longest_common_substring
-
-        if self.ctx.representative is None or not surface:
-            return surface
-        stored_values = [
-            value
-            for value in self.ctx.representative(table, column)
-            if isinstance(value, str)
-        ]
-        if surface in stored_values:
-            return surface
-        best = None
-        best_containment = 0.0
-        for value in stored_values:
-            shared = longest_common_substring(surface, value)
-            containment = len(shared) / len(surface)
-            if containment > best_containment:
-                best_containment = containment
-                best = value
-        if best is not None and best_containment >= 0.8:
-            return best
-        return surface
 
     # -- query construction ------------------------------------------------
 
@@ -605,7 +631,7 @@ def _template_tables(template: Query) -> list[str]:
 def _table_assignments(
     ctx: InstantiationContext, template_tables: list[str]
 ) -> list[dict[str, str]]:
-    ranked = ctx.ranked_tables()
+    ranked = ctx.ranked_tables
     if not ranked:
         return []
     depth = max(1, ctx.slot_depth)
@@ -642,10 +668,15 @@ def _table_assignments(
 
 @dataclass(frozen=True)
 class FilledCandidate:
-    """One instantiated candidate plus its grounding diagnostics."""
+    """One instantiated candidate plus its grounding diagnostics.
+
+    ``sql`` is ``query`` serialized by ``SQLITE_EMITTER``: the text
+    candidates are deduplicated on, reused by every SQLite consumer.
+    """
 
     query: Query
     ungrounded_literals: int
+    sql: str
 
 
 def instantiate_template(
@@ -665,13 +696,14 @@ def instantiate_template(
             filled = filler.fill(template)
             if filled is None:
                 continue
-            from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
-
-            key = SQLITE_EMITTER.serialize(filled).lower()
+            sql = SQLITE_EMITTER.serialize(filled)
+            key = sql.lower()
             if key in seen:
                 continue
             seen.add(key)
             candidates.append(
-                FilledCandidate(query=filled, ungrounded_literals=filler.ungrounded)
+                FilledCandidate(
+                    query=filled, ungrounded_literals=filler.ungrounded, sql=sql
+                )
             )
     return candidates

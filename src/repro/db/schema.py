@@ -8,6 +8,7 @@ provide informative comments for ambiguous schema" (§6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import SchemaError
 from repro.sqlgen.ast import identifier_key
@@ -58,16 +59,21 @@ class Table:
                 raise SchemaError(f"duplicate column {column.name!r} in {self.name!r}")
             seen.add(lowered)
 
+    @cached_property
+    def _column_index(self) -> dict[str, Column]:
+        # Built on first lookup and kept in the instance ``__dict__``:
+        # not a dataclass field, so equality and hashing ignore it.
+        return {identifier_key(column.name): column for column in self.columns}
+
     def column(self, name: str) -> Column:
         """Look up a column by case-insensitive name."""
-        for column in self.columns:
-            if identifier_key(column.name) == identifier_key(name):
-                return column
-        raise SchemaError(f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._column_index[identifier_key(name)]
+        except KeyError:
+            raise SchemaError(f"no column {name!r} in table {self.name!r}") from None
 
     def has_column(self, name: str) -> bool:
-        key = identifier_key(name)
-        return any(identifier_key(column.name) == key for column in self.columns)
+        return identifier_key(name) in self._column_index
 
     @property
     def primary_key(self) -> Column | None:
@@ -93,6 +99,11 @@ class ForeignKey:
         )
 
 
+def _table_pair(first: str, second: str) -> tuple[str, str]:
+    """Order-free identity of a pair of table names."""
+    return tuple(sorted((identifier_key(first), identifier_key(second))))
+
+
 @dataclass(frozen=True)
 class Schema:
     """A complete database schema."""
@@ -116,16 +127,28 @@ class Schema:
             if not dst.has_column(fkey.dst_column):
                 raise SchemaError(f"foreign key target missing: {fkey.render()}")
 
+    @cached_property
+    def _table_index(self) -> dict[str, Table]:
+        # Same scheme as ``Table._column_index``.
+        return {identifier_key(table.name): table for table in self.tables}
+
+    @cached_property
+    def _join_index(self) -> dict[tuple[str, str], ForeignKey]:
+        """Unordered table pair -> its first declared foreign key."""
+        index: dict[tuple[str, str], ForeignKey] = {}
+        for fkey in self.foreign_keys:
+            index.setdefault(_table_pair(fkey.src_table, fkey.dst_table), fkey)
+        return index
+
     def table(self, name: str) -> Table:
         """Look up a table by case-insensitive name."""
-        for table in self.tables:
-            if identifier_key(table.name) == identifier_key(name):
-                return table
-        raise SchemaError(f"no table {name!r} in schema {self.name!r}")
+        try:
+            return self._table_index[identifier_key(name)]
+        except KeyError:
+            raise SchemaError(f"no table {name!r} in schema {self.name!r}") from None
 
     def has_table(self, name: str) -> bool:
-        key = identifier_key(name)
-        return any(identifier_key(table.name) == key for table in self.tables)
+        return identifier_key(name) in self._table_index
 
     def column_keys(self) -> list[str]:
         """All ``table.column`` keys in schema order (lower-cased)."""
@@ -145,14 +168,8 @@ class Schema:
         ]
 
     def join_edge(self, left_table: str, right_table: str) -> ForeignKey | None:
-        """The FK connecting two tables, if any (either direction)."""
-        left = left_table.lower()
-        right = right_table.lower()
-        for fkey in self.foreign_keys:
-            pair = (fkey.src_table.lower(), fkey.dst_table.lower())
-            if pair in ((left, right), (right, left)):
-                return fkey
-        return None
+        """The first declared FK connecting two tables, if any (either direction)."""
+        return self._join_index.get(_table_pair(left_table, right_table))
 
     def rename(self, name: str) -> "Schema":
         """Copy of this schema under a different name."""

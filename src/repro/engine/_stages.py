@@ -83,6 +83,7 @@ from repro.promptgen.builder import (
     apply_schema_ablations,
 )
 from repro.sqlgen.dialects import emitter_for
+from repro.sqlgen.dialects.sqlite import SQLITE_EMITTER
 from repro.text.embedder import MemoizedEmbedder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -355,14 +356,17 @@ class CandidateGenStage(_ParserStage):
         # Candidates are emitted in the backend's own dialect, so every
         # downstream consumer (lint, dedup, execution) sees SQL the
         # backend actually accepts.  On the default SQLite backend this
-        # is byte-identical to the historical serializer.
+        # is the text slot filling already serialized for its dedup.
         emitter = emitter_for(backend_dialect(ctx.database))
         raw: list[tuple[str, object, float, int]] = []
         seen: set[str] = set()
         for template, retrieval_sim in templates:
             for candidate in instantiate_template(template, ctx.inst_ctx):
                 filled = candidate.query
-                sql = emitter.serialize(filled)
+                if emitter is SQLITE_EMITTER:
+                    sql = candidate.sql
+                else:
+                    sql = emitter.serialize(filled)
                 key = sql.lower()
                 if key in seen:
                     continue

@@ -41,6 +41,10 @@ class NgramLanguageModel:
         self._counts: list[dict[tuple[str, ...], Counter[str]]] = [
             defaultdict(Counter) for _ in range(order)
         ]
+        # totals[k] caches sum(counts[k][context].values()), filled on
+        # first use while scoring and cleared by every ``fit``; it never
+        # holds more entries than counts[k].
+        self._totals: list[dict[tuple[str, ...], int]] = [{} for _ in range(order)]
         self._vocab: set[str] = set()
         self._trained_tokens = 0
 
@@ -55,6 +59,11 @@ class NgramLanguageModel:
         """
         if weight < 1:
             raise TrainingError(f"weight must be at least 1, got {weight}")
+        # The one invalidation point of the context totals.  Cleared
+        # before the counts change, so a fit that raises midway leaves
+        # no stale total behind either.
+        for totals in self._totals:
+            totals.clear()
         consumed = 0
         for text in texts:
             tokens = [BOS, *self.tokenizer.tokenize(text), EOS]
@@ -90,7 +99,9 @@ class NgramLanguageModel:
             counter = self._counts[k].get(ctx)
             if counter is None:
                 continue
-            total = sum(counter.values())
+            total = self._totals[k].get(ctx)
+            if total is None:
+                total = self._totals[k][ctx] = sum(counter.values())
             if total == 0:
                 continue
             mle = counter.get(token, 0) / total

@@ -197,6 +197,44 @@ class TestSlotFill:
         candidates = instantiate_template(template, ctx)
         assert any(c.ungrounded_literals == 0 for c in candidates)
 
+    def test_shared_context_fills_like_a_fresh_one(self):
+        """Per-question memos never leak one filler's consumption into another."""
+        question = (
+            "clients in 'Jesenik' named Maria Garcia with balance over 1000 "
+            "and a loan between 100 and 500"
+        )
+        matched = [
+            MatchedValue("client", "district", "Jesenik", 1.0),
+            MatchedValue("loan", "status", "approved", 0.9),
+        ]
+
+        def fresh_ctx():
+            ctx, db = self._ctx(question, matched)
+            ctx.representative = lambda table, column: db.representative_values(
+                table, column
+            )
+            return ctx
+
+        target = parse_sql(
+            "SELECT t.a FROM t WHERE t.b = 'x' AND t.c > 5 AND t.d = 'z'"
+        )
+        others = [
+            parse_sql("SELECT t.a FROM t WHERE t.b = 'x' AND t.c = 'y'"),
+            parse_sql("SELECT t.a FROM t WHERE t.b BETWEEN 1 AND 2"),
+            parse_sql("SELECT t.a FROM t WHERE t.b IN ('p', 'q') AND t.c < 3"),
+            target,
+        ]
+        expected = instantiate_template(target, fresh_ctx())
+        assert any(c.ungrounded_literals == 0 for c in expected)
+        assert all(
+            c.sql == SQLITE_EMITTER.serialize(c.query) for c in expected
+        )
+        shared = fresh_ctx()
+        for template in others:
+            assert instantiate_template(template, shared)
+        assert instantiate_template(target, shared) == expected
+        assert shared.matched_values == matched
+
     def test_candidates_execute(self):
         template = parse_sql("SELECT t.a FROM t ORDER BY t.b DESC LIMIT 1")
         ctx, db = self._ctx("client with the highest balance")

@@ -1,5 +1,7 @@
 """Tests for the database substrate."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +70,82 @@ class TestSchemaModel:
         renamed = bank_schema().rename("other")
         assert renamed.name == "other"
         assert renamed.tables == bank_schema().tables
+
+
+class TestSchemaIndex:
+    """The lookup indexes are invisible apart from their speed."""
+
+    def test_lookups_ignore_case(self):
+        schema = bank_schema()
+        for spelling in ("loan", "LOAN", "Loan"):
+            assert schema.has_table(spelling)
+            table = schema.table(spelling)
+            assert table is schema.tables[2]
+            for column in table.columns:
+                for name in (column.name, column.name.upper(), column.name.title()):
+                    assert table.has_column(name)
+                    assert table.column(name) is column
+
+    def test_misses_raise_the_same_message(self):
+        schema = bank_schema()
+        with pytest.raises(SchemaError, match=r"^no table 'Nope' in schema 'mini_bank'$"):
+            schema.table("Nope")
+        with pytest.raises(
+            SchemaError, match=r"^no column 'Nope' in table 'client'$"
+        ):
+            schema.table("client").column("Nope")
+
+    @given(st.sampled_from(["client", "CLIENT", "loan", "x", "", "client.name"]),
+           st.sampled_from(["name", "NAME", "amount", "status", "y", ""]))
+    def test_has_agrees_with_lookup(self, table_name, column_name):
+        schema = bank_schema()
+        try:
+            table = schema.table(table_name)
+        except SchemaError:
+            assert not schema.has_table(table_name)
+            return
+        assert schema.has_table(table_name)
+        try:
+            table.column(column_name)
+        except SchemaError:
+            assert not table.has_column(column_name)
+        else:
+            assert table.has_column(column_name)
+
+    def test_equality_hash_and_replace_ignore_the_index(self):
+        fresh, used = bank_schema(), bank_schema()
+        used.table("client").column("name")
+        used.join_edge("client", "account")
+        assert fresh == used and hash(fresh) == hash(used)
+        assert fresh.tables[0] == used.tables[0]
+        assert hash(fresh.tables[0]) == hash(used.tables[0])
+        assert repr(fresh) == repr(used)
+
+        table = used.table("client")
+        narrowed = dataclasses.replace(table, columns=table.columns[:2])
+        assert not narrowed.has_column(table.columns[2].name)
+        assert narrowed.column(table.columns[1].name.upper()) is table.columns[1]
+        assert dataclasses.replace(table) == table
+
+        renamed = used.rename("other")
+        assert renamed.table("CLIENT") is table
+        assert renamed.join_edge("account", "client") is used.join_edge("client", "account")
+        assert renamed != used
+
+    def test_join_edge_returns_the_first_declared_key(self):
+        a = Table(name="a", columns=(Column("id", "INTEGER"), Column("b_id", "INTEGER")))
+        b = Table(name="b", columns=(Column("id", "INTEGER"), Column("a_id", "INTEGER")))
+        b_to_a = ForeignKey("b", "a_id", "a", "id")
+        a_to_b = ForeignKey("a", "b_id", "b", "id")
+        for keys in ((b_to_a, a_to_b), (a_to_b, b_to_a)):
+            schema = Schema(name="s", tables=(a, b), foreign_keys=keys)
+            for left, right in (("a", "b"), ("B", "A"), ("A", "b")):
+                assert schema.join_edge(left, right) is keys[0]
+            assert schema.join_edge("a", "a") is None
+        looped = Schema(
+            name="s", tables=(a,), foreign_keys=(ForeignKey("A", "b_id", "a", "id"),)
+        )
+        assert looped.join_edge("a", "A") is looped.foreign_keys[0]
 
 
 class TestDatabase:

@@ -481,15 +481,40 @@ class TestServerBackendConfig:
             )
 
 
-class TestEngineOnColumnarBackend:
-    def test_generation_emits_executable_ansi_sql(self):
-        from repro.core import CodeSParser
-        from repro.eval.harness import pair_samples
+@pytest.fixture(scope="class")
+def bank_parser():
+    from repro.core import CodeSParser
+    from repro.eval.harness import pair_samples
 
-        dataset = bundled_dataset_builders()["bank-financials"]()
-        parser = CodeSParser("codes-1b")
-        parser.fit(pair_samples(dataset))
+    dataset = bundled_dataset_builders()["bank-financials"]()
+    parser = CodeSParser("codes-1b")
+    parser.fit(pair_samples(dataset))
+    return dataset, parser
+
+
+class TestEngineOnColumnarBackend:
+    def test_generation_emits_executable_ansi_sql(self, bank_parser):
+        dataset, parser = bank_parser
         database = dataset.database_of(dataset.dev[0])
         backend = create_backend("columnar", database)
         result = parser.generate(dataset.dev[0].question, backend)
         assert backend.is_executable(result.sql)
+
+    def test_candidates_are_serialized_by_the_backend_emitter(self, bank_parser):
+        """Slot filling's SQLite text is reused only on SQLite."""
+        from repro.engine import InferenceContext
+
+        dataset, parser = bank_parser
+        ansi = emitter_for("ansi")
+        engine = parser.build_engine()
+        differs = 0
+        for example in dataset.dev[:4]:
+            backend = create_backend("columnar", dataset.database_of(example))
+            ctx = InferenceContext(question=example.question, database=backend)
+            engine.run(ctx)
+            assert ctx.raw_candidates
+            for sql, filled, _, _ in ctx.raw_candidates:
+                assert sql == ansi.serialize(filled)
+                differs += sql != SQLITE_EMITTER.serialize(filled)
+        # The two dialects must disagree somewhere for this to pin anything.
+        assert differs

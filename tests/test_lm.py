@@ -1,5 +1,7 @@
 """Tests for the LM stack: tokenizer, vocab, n-gram LM, transformer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from repro.lm import (
     pretrain_base_lm,
 )
 from repro.lm.corpus import code_corpus, nl2code_corpus, nl_corpus, sql_corpus
+from repro.lm.vocab import BOS, EOS
 
 
 class TestTokenizer:
@@ -121,6 +124,45 @@ class TestNgramLM:
         lm = NgramLanguageModel(order=2)
         lm.fit(["a b c"])
         assert np.isfinite(lm.log_prob(text))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text(alphabet="ab c", max_size=12), min_size=1, max_size=4),
+                st.integers(min_value=1, max_value=3),
+                st.lists(st.text(alphabet="abc d", max_size=12), max_size=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_cached_totals_track_every_fit(self, rounds):
+        """Scoring between fits sees the counts of every fit so far."""
+        lm = NgramLanguageModel(order=3)
+        for texts, weight, probes in rounds:
+            lm.fit(texts, weight=weight)
+            for probe in [*probes, *texts]:
+                assert lm.log_prob(probe) == _reference_log_prob(lm, probe)
+
+
+def _reference_log_prob(lm: NgramLanguageModel, text: str) -> float:
+    """``log_prob`` with every context total summed from the counts."""
+    tokens = [BOS, *lm.tokenizer.tokenize(text), EOS]
+    total = 0.0
+    for position in range(1, len(tokens)):
+        context = tokens[max(0, position - lm.order + 1):position]
+        prob = 1.0 / (lm.vocab_size + 1)
+        for k in range(lm.order):
+            if k > len(context):
+                break
+            counter = lm._counts[k].get(tuple(context[len(context) - k:]) if k else ())
+            if not counter or sum(counter.values()) == 0:
+                continue
+            mle = counter.get(tokens[position], 0) / sum(counter.values())
+            prob = (1.0 - lm.interpolation) * prob + lm.interpolation * mle
+        total += math.log(prob)
+    return total
 
 
 class TestTransformer:
